@@ -2,7 +2,7 @@
 # Offline CI gate: everything here must pass with no network access
 # (all dependencies are vendored under vendor/ — see README "Offline builds").
 #
-#   ./ci.sh         # full gate: build, tests, clippy, fmt, bench smoke
+#   ./ci.sh         # full gate: build, tests, clippy, fmt, smokes, benchmark smoke
 #   ./ci.sh quick   # tier-1 only: release build + root test suite
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -197,6 +197,13 @@ jq -e '.scoring.memo_hit_rate > 0
        and .routing.routed_queries == .queries' \
     "$OBS_TMP/plansearch.json" >/dev/null \
     || { echo "FAIL: plansearch smoke out of bounds"; cat "$OBS_TMP/plansearch.json"; exit 1; }
+
+# Benchmark smoke: run every BENCHMARK.json workload for one second,
+# untraced and traced, through dacebench/run.py (built offline into
+# .bench_build/). Fails when the emitted metric names or units drift from
+# BENCHMARK.json, or when any output check fails or an operation fails.
+echo "==> benchmark smoke"
+python3 dacebench/smoke.py
 
 # Bench smoke: compile and run each bench once in test mode (no sampling);
 # catches bit-rot in the criterion harness wiring without the full run.

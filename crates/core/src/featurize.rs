@@ -37,6 +37,13 @@ pub struct PlanFeatures {
     pub targets: Vec<f32>,
 }
 
+impl PlanFeatures {
+    /// The root's mask row (`n` entries): the nodes the root attends to.
+    pub fn root_mask(&self) -> &[bool] {
+        &self.mask[..self.x.rows()]
+    }
+}
+
 /// Latency floor before the log transform (sub-microsecond labels are
 /// measurement noise).
 const MS_FLOOR: f64 = 1e-4;

@@ -2,41 +2,39 @@
 //! registry swap, serving deadline-tight requests at reduced precision.
 //!
 //! [`QuantizedModel::from_model`] folds each MLP layer's LoRA delta into its
-//! base weight and int8-quantizes everything (per-output-channel scales);
-//! the forward pass mirrors [`DaceModel::predict_roots_timed_ws`] stage for
-//! stage — pack, block-diagonal masked attention, root-row gather, 3-layer
-//! MLP — so predictions differ from full precision only by quantization
-//! error. Construction happens at swap time, never on the request path.
+//! base weight and int8-quantizes it (per-output-channel scales). Attention
+//! is shared with the full-precision tier: the same f32 root-only
+//! [`RootAttention`] runs first, so predictions differ from full precision
+//! only by the MLP's quantization error. Construction happens at swap time,
+//! never on the request path.
 
-use dace_nn::{QuantScratch, QuantizedAttention, QuantizedLinear, Relu, Tensor2};
+use dace_nn::{QuantRows, QuantizedLinear, Relu, RootAttention, RootScratch, Tensor2};
 use std::time::Instant;
 
-use crate::featurize::{Featurizer, PlanFeatures, FEATURE_DIM};
+use crate::featurize::{Featurizer, PlanFeatures};
 use crate::model::{DaceModel, ForwardTimings};
 use crate::trainer::DaceEstimator;
 
-/// Reusable scratch for the quantized forward: packed input, attention
-/// buffers, root rows and MLP activations. One per worker; buffers grow to
-/// the high-water batch size and then stop allocating — the same
+/// Reusable scratch for the quantized forward: root attention buffers,
+/// quantized activation rows and MLP activations. One per worker; buffers
+/// grow to the high-water batch size and then stop allocating — the same
 /// steady-state story as the f32 [`Workspace`](dace_nn::Workspace).
 #[derive(Debug, Default)]
 pub struct QuantWorkspace {
-    /// Int8 kernel scratch (quantized activation row, Q/K/V projections).
-    pub qs: QuantScratch,
-    xc: Tensor2,
-    attn_out: Tensor2,
+    root: RootScratch,
+    rows: QuantRows,
     heads: Tensor2,
     h1: Tensor2,
     h2: Tensor2,
     preds: Tensor2,
 }
 
-/// Int8 twin of [`DaceModel`]: quantized attention projections plus three
-/// LoRA-folded quantized MLP layers. Holds no optimizer or training state —
-/// inference only, cheap to rebuild on every swap.
+/// Int8 twin of [`DaceModel`]: the shared f32 root-only attention plus
+/// three LoRA-folded quantized MLP layers. Holds no optimizer or training
+/// state — inference only, cheap to rebuild on every swap.
 #[derive(Debug, Clone)]
 pub struct QuantizedModel {
-    attention: QuantizedAttention,
+    attention: RootAttention,
     l1: QuantizedLinear,
     l2: QuantizedLinear,
     l3: QuantizedLinear,
@@ -48,22 +46,22 @@ impl QuantizedModel {
     /// the weights the f32 path would serve.
     pub fn from_model(model: &DaceModel) -> QuantizedModel {
         QuantizedModel {
-            attention: QuantizedAttention::from_attention(&model.attention),
+            attention: model.attention.root_attention().clone(),
             l1: QuantizedLinear::from_lora(&model.l1),
             l2: QuantizedLinear::from_lora(&model.l2),
             l3: QuantizedLinear::from_lora(&model.l3),
         }
     }
 
-    /// Quantized weight bytes — roughly 4× below the f32 parameters.
+    /// Weight bytes: the f32 root attention plus the int8 MLP — roughly 4×
+    /// below the f32 parameters.
     pub fn bytes(&self) -> usize {
         self.attention.bytes() + self.l1.bytes() + self.l2.bytes() + self.l3.bytes()
     }
 
     /// Quantized twin of [`DaceModel::predict_roots_timed_ws`]: batched
-    /// root log-latency inference over the compact layout, appending to
-    /// `out` (cleared first). Same packing, same block masks, same
-    /// root-row gather; only the matmuls run int8.
+    /// root log-latency inference, appending to `out` (cleared first).
+    /// Same root-only attention; only the MLP matmuls run int8.
     pub fn predict_roots_timed_ws(
         &self,
         feats: &[&PlanFeatures],
@@ -74,34 +72,19 @@ impl QuantizedModel {
         if feats.is_empty() {
             return ForwardTimings::default();
         }
-        let total: usize = feats.iter().map(|f| f.x.rows()).sum();
-        ws.xc.resize_zeroed(total, FEATURE_DIM);
-        let mut row = 0;
-        for f in feats {
-            ws.xc.set_row_block(row, &f.x);
-            row += f.x.rows();
-        }
         let t_attn = Instant::now();
-        self.attention.forward_masks_into(
-            &ws.xc,
-            feats.iter().map(|f| (f.x.rows(), f.mask.as_slice())),
-            &mut ws.qs,
-            &mut ws.attn_out,
+        self.attention.forward_into(
+            feats.iter().map(|f| (&f.x, f.root_mask())),
+            &mut ws.root,
+            &mut ws.heads,
         );
         let attention_us = t_attn.elapsed().as_micros() as u64;
         let t_mlp = Instant::now();
-        // Only the root rows (each block's first row) run through the MLP.
-        ws.heads.resize_zeroed(feats.len(), ws.attn_out.cols());
-        let mut start = 0;
-        for (b, f) in feats.iter().enumerate() {
-            ws.heads.row_mut(b).copy_from_slice(ws.attn_out.row(start));
-            start += f.x.rows();
-        }
-        self.l1.forward_into(&ws.heads, &mut ws.h1, &mut ws.qs);
+        self.l1.forward_into(&ws.heads, &mut ws.h1, &mut ws.rows);
         Relu::relu_in_place(&mut ws.h1);
-        self.l2.forward_into(&ws.h1, &mut ws.h2, &mut ws.qs);
+        self.l2.forward_into(&ws.h1, &mut ws.h2, &mut ws.rows);
         Relu::relu_in_place(&mut ws.h2);
-        self.l3.forward_into(&ws.h2, &mut ws.preds, &mut ws.qs);
+        self.l3.forward_into(&ws.h2, &mut ws.preds, &mut ws.rows);
         let mlp_us = t_mlp.elapsed().as_micros() as u64;
         out.extend((0..feats.len()).map(|b| ws.preds.get(b, 0)));
         ForwardTimings {

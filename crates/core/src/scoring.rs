@@ -5,9 +5,12 @@
 //! sub-plans is cheapest" thousands of times per query. A [`ScoreSession`]
 //! amortizes that traffic — it owns a persistent [`Workspace`] plus the
 //! root/output scratch vectors, so every batch after the first runs the
-//! block-diagonal forward without allocating, and it accumulates the
+//! root-only forward ([`DaceModel::predict_roots_timed_ws`]) without
+//! allocating, and it accumulates the
 //! throughput counters (sub-plans scored, forward wall time) that the
 //! plan-search experiments report.
+//!
+//! [`DaceModel::predict_roots_timed_ws`]: crate::DaceModel::predict_roots_timed_ws
 
 use std::time::Instant;
 
@@ -21,8 +24,9 @@ use dace_nn::Workspace;
 /// A reusable batched-scoring session bound to one estimator.
 ///
 /// Scores come back in candidate order as predicted latency in
-/// milliseconds; per-plan results are independent of batch composition
-/// (the packed forward is row-independent), which is what lets the search
+/// milliseconds; per-plan results are bit-identical whatever the batch
+/// composition (the root-only attention works on each plan's own rows and
+/// the matmul kernels are row-independent), which is what lets the search
 /// memo reuse a score computed in one batch for a duplicate sub-tree seen
 /// in another.
 #[derive(Debug)]
@@ -65,7 +69,7 @@ impl<'a> ScoreSession<'a> {
     }
 
     /// Score a candidate batch: featurize each tree and run one chunked
-    /// block-diagonal forward. Returns predicted root latencies (ms) in
+    /// root-only forward. Returns predicted root latencies (ms) in
     /// input order; the slice is valid until the next `score_*` call.
     pub fn score_trees_ms(&mut self, trees: &[&PlanTree]) -> &[f64] {
         let feats: Vec<PlanFeatures> = trees

@@ -727,8 +727,8 @@ impl DaceEstimator {
     }
 
     /// Batched latency prediction (ms): featurize all plans (sharded across
-    /// threads, same code path as training), pack them in chunks of
-    /// `config.batch_plans`, and run one block-diagonal forward per chunk.
+    /// threads, same code path as training), and run one root-only forward
+    /// per chunk of `config.batch_plans`.
     /// Output order matches `trees`.
     pub fn predict_batch_ms(&self, trees: &[&PlanTree]) -> Vec<f64> {
         let feats = featurize_trees_sharded(&self.featurizer, trees, self.config.featurize_threads);
@@ -766,10 +766,10 @@ impl DaceEstimator {
     /// they reach the high-water batch size); millisecond predictions are
     /// appended to `out` (cleared first), aligned with `feats`.
     ///
-    /// Chunks run on the compact layout ([`DaceModel::predict_roots`]): no
-    /// padding rows exist, so mixed plan sizes cost nothing and chunking
-    /// needs no size sorting — plain input-order chunks keep the output
-    /// aligned for free.
+    /// Chunks run root-only ([`DaceModel::predict_roots_timed_ws`]) straight
+    /// off each plan's features: no packing and no padding rows, so mixed
+    /// plan sizes cost nothing and chunking needs no size sorting — plain
+    /// input-order chunks keep the output aligned for free.
     ///
     /// [`predict_features_batch_ms_timed`]: DaceEstimator::predict_features_batch_ms_timed
     pub fn predict_features_batch_ms_timed_ws(
@@ -788,16 +788,6 @@ impl DaceEstimator {
             out.extend(roots.iter().map(|&r| Featurizer::to_ms(r)));
         }
         timings
-    }
-
-    /// One block-diagonal inference pass over an already-packed batch:
-    /// per-plan root latency (ms). The lowest-level batch entry point.
-    pub fn predict_packed_ms(&self, packed: &PackedBatch) -> Vec<f64> {
-        self.model
-            .predict_batch(packed)
-            .into_iter()
-            .map(Featurizer::to_ms)
-            .collect()
     }
 
     /// Extract the current LoRA adapter (the complete fine-tuned state) for

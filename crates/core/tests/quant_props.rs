@@ -1,7 +1,7 @@
 //! Quantization accuracy proptests: the int8 fast tier must stay within a
 //! fixed multiplicative bound of the full-precision path over *arbitrary*
-//! plan shapes — not just the training distribution — and the quantized
-//! attention kernel must keep the f32 path's fully-masked-row guarantee
+//! plan shapes — not just the training distribution — and the root-only
+//! attention both tiers share must keep the fully-masked-row guarantee
 //! (an all-`−∞` score row softmaxes to zeros, never NaN).
 
 use std::sync::OnceLock;
@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use dace_core::{
     DaceEstimator, PlanFeatures, QuantWorkspace, QuantizedEstimator, TrainConfig, Trainer,
 };
-use dace_nn::{QuantScratch, QuantizedAttention, Tensor2};
+use dace_nn::{RootScratch, Tensor2};
 use dace_plan::{
     Dataset, LabeledPlan, MachineId, NodeType, OpPayload, PlanNode, PlanTree, TreeBuilder,
 };
@@ -148,29 +148,43 @@ proptest! {
         );
     }
 
-    /// A fully-masked attention row (all scores `−∞`) must produce finite
-    /// output in the int8 kernel, matching the f32 softmax's zero-row
-    /// guarantee — no NaN may ever reach a prediction.
+    /// A root whose mask row allows nothing (all scores `−∞`) must get a
+    /// zero attention row from the root-only attention both tiers share,
+    /// and a finite prediction from each tier — no NaN may ever reach a
+    /// prediction.
     #[test]
-    fn fully_masked_rows_stay_finite_in_quantized_attention(
+    fn fully_masked_root_rows_stay_finite_in_both_tiers(
         rows in 2usize..8,
         seed in 0u64..1000,
     ) {
-        let (est, _) = tiers();
-        let qattn = QuantizedAttention::from_attention(&est.model.attention);
-        let x = Tensor2::uniform(rows, dace_core::FEATURE_DIM, 1.0, seed);
-        // Row 1 attends to nothing: every key masked out.
+        let (est, quant) = tiers();
+        // The root attends to nothing; every other node to its suffix.
         let mut mask = vec![false; rows * rows];
-        for i in 0..rows {
-            for j in 0..rows {
-                mask[i * rows + j] = i != 1 && j <= i;
+        for i in 1..rows {
+            for j in i..rows {
+                mask[i * rows + j] = true;
             }
         }
-        let mut qs = QuantScratch::default();
-        let mut out = Tensor2::default();
-        qattn.forward_masks_into(&x, [(rows, mask.as_slice())], &mut qs, &mut out);
-        prop_assert_eq!(out.rows(), rows);
-        prop_assert!(out.as_slice().iter().all(|v| v.is_finite()), "NaN leaked");
-        prop_assert!(out.row(1).iter().all(|&v| v == 0.0), "masked row not zeroed");
+        let feats = PlanFeatures {
+            x: Tensor2::uniform(rows, dace_core::FEATURE_DIM, 1.0, seed),
+            mask,
+            heights: vec![0; rows],
+            targets: vec![0.0; rows],
+        };
+        let mut rs = RootScratch::default();
+        let mut attn = Tensor2::default();
+        est.model.attention.root_attention().forward_into(
+            [(&feats.x, feats.root_mask())].into_iter(),
+            &mut rs,
+            &mut attn,
+        );
+        prop_assert_eq!(attn.rows(), 1);
+        prop_assert!(attn.row(0).iter().all(|&v| v == 0.0), "masked root row not zeroed");
+        let refs: Vec<&PlanFeatures> = vec![&feats];
+        let full = est.predict_features_batch_ms(&refs)[0];
+        let mut ws = QuantWorkspace::default();
+        let (mut roots, mut out) = (Vec::new(), Vec::new());
+        quant.predict_features_batch_ms_timed_ws(&refs, &mut ws, &mut roots, &mut out);
+        prop_assert!(full.is_finite() && out[0].is_finite(), "NaN leaked: {} / {}", full, out[0]);
     }
 }

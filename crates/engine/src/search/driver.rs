@@ -5,7 +5,7 @@
 //! paths at once, every DP level's join candidates at once — and scored in
 //! one batch per level. A 9-relation query's DP enumerates hundreds of
 //! candidate sub-plans; batching them turns the optimizer into exactly the
-//! block-diagonal traffic shape the serving kernels are optimized for,
+//! batched traffic shape the serving kernels are optimized for,
 //! instead of thousands of single-plan forwards.
 //!
 //! The enumeration order (masks ascending, partitions in submask-descending

@@ -8,7 +8,7 @@
 //! * [`SearchSession`] — the driver. It collects candidate sub-plans per
 //!   decision level (all scans, then each DP level's join candidates, then
 //!   aggregation) and scores each level in **one** batch, the traffic shape
-//!   the block-diagonal serving kernels are built for.
+//!   the batched serving kernels are built for.
 //! * [`PlanScorer`] — the scoring strategy: [`AnalyticScorer`] (reproduces
 //!   the analytic planner bit-for-bit), [`LearnedScorer`] (batched DACE
 //!   predictions, lower predicted ms wins) and [`HybridScorer`] (learned

@@ -12,12 +12,18 @@
 //! one variable-length block per plan ([`MaskedSelfAttention::forward_packed`]),
 //! giving one set of large Q/K/V projections per batch instead of one per
 //! plan and per-block score work proportional to each plan's *real* size.
+//!
+//! Inference that reads only each plan's root row (every latency
+//! prediction) skips all of that and runs [`RootAttention`]: the root row
+//! alone, from a folded `W_Q·W_Kᵀ` and `W_V`.
+
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
 use crate::param::Param;
 use crate::tensor::Tensor2;
-use crate::workspace::AttnScratch;
+use crate::workspace::{AttnScratch, RootScratch};
 
 fn default_true() -> bool {
     true
@@ -40,6 +46,10 @@ fn mask_to_bias(mask: &[bool]) -> Vec<f32> {
 /// Single-head masked scaled-dot-product self-attention with learned
 /// projections `W_Q`, `W_K` (d → d_k) and `W_V` (d → d_v); no biases, as in
 /// the paper's Eq. 5.
+///
+/// Write the projections through [`MaskedSelfAttention::params_mut`] (as
+/// the optimizer does): it drops the folded [`RootAttention`] that
+/// [`MaskedSelfAttention::root_attention`] caches.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MaskedSelfAttention {
     /// Query projection, `d × d_k`.
@@ -51,6 +61,9 @@ pub struct MaskedSelfAttention {
     d_k: usize,
     #[serde(skip)]
     cache: Option<Cache>,
+    /// Root-only inference form, folded on first use.
+    #[serde(skip)]
+    root: OnceLock<RootAttention>,
     /// Train/eval switch: in eval mode the caching forward entry points
     /// route to their inference twins and skip cloning `x` into the cache.
     #[serde(skip, default = "default_true")]
@@ -80,14 +93,16 @@ impl MaskedSelfAttention {
             wv: Param::xavier(d, d_v, seed ^ 0x5EED_0002),
             d_k,
             cache: None,
+            root: OnceLock::new(),
             train: true,
         }
     }
 
-    /// Query/key width (`d_k`) — the softmax scale denominator. Exposed so
-    /// the quantized twin reproduces the exact scaling.
-    pub fn dk(&self) -> usize {
-        self.d_k
+    /// The root-only inference form of the current weights, folded on the
+    /// first call and reused until [`MaskedSelfAttention::params_mut`].
+    pub fn root_attention(&self) -> &RootAttention {
+        self.root
+            .get_or_init(|| RootAttention::from_attention(self))
     }
 
     /// Switch between training (activations cached for backward) and eval
@@ -322,111 +337,6 @@ impl MaskedSelfAttention {
         Self::apply_probs(&probs, &v, lens)
     }
 
-    /// Mask-driven block-diagonal inference: like
-    /// [`forward_packed_inference`] but each block's boolean tree mask
-    /// drives the computation directly instead of going through a padded
-    /// `stride²`-per-block additive bias buffer. `masks[b]` is block `b`'s
-    /// row-major `lens[b] × lens[b]` mask.
-    ///
-    /// This is the serving fast path. Tree masks over DFS-ordered nodes are
-    /// **row intervals** — node `i` attends to exactly `[i, i + subtree)` —
-    /// so each row's scores, softmax and value sum run only over its
-    /// allowed interval ([`Tensor2::row_dots_nt`] / [`Tensor2::row_combine`]):
-    /// no bias buffer, no block copies, and no work at masked positions.
-    /// Probabilities are identical to the bias path, which computes the
-    /// masked positions and then multiplies them by exactly zero.
-    /// Non-interval masks (possible only with hand-built features) fall
-    /// back to a dense scored row with the same semantics.
-    ///
-    /// [`forward_packed_inference`]: MaskedSelfAttention::forward_packed_inference
-    pub fn forward_masks_inference(
-        &self,
-        x: &Tensor2,
-        lens: &[usize],
-        masks: &[&[bool]],
-    ) -> Tensor2 {
-        assert_eq!(lens.len(), masks.len(), "one mask per block");
-        let mut ws = AttnScratch::default();
-        let mut out = Tensor2::default();
-        self.forward_masks_into(
-            x,
-            lens.iter().copied().zip(masks.iter().copied()),
-            &mut ws,
-            &mut out,
-        );
-        out
-    }
-
-    /// Workspace twin of [`forward_masks_inference`]: blocks stream in as
-    /// `(len, mask)` pairs (so callers need not build a `Vec` of mask
-    /// slices), projections and the score row live in `ws`, and the
-    /// attention output lands in `out`. Same interval-sparse math — the
-    /// per-worker serving path uses this to run allocation-free at steady
-    /// state.
-    ///
-    /// [`forward_masks_inference`]: MaskedSelfAttention::forward_masks_inference
-    pub fn forward_masks_into<'m, I>(
-        &self,
-        x: &Tensor2,
-        blocks: I,
-        ws: &mut AttnScratch,
-        out: &mut Tensor2,
-    ) where
-        I: IntoIterator<Item = (usize, &'m [bool])>,
-    {
-        let n = x.rows();
-        x.matmul_into(&self.wq.value, &mut ws.q);
-        x.matmul_into(&self.wk.value, &mut ws.k);
-        x.matmul_into(&self.wv.value, &mut ws.v);
-        let scale = 1.0 / (self.d_k as f32).sqrt();
-        out.resize_zeroed(n, self.wv.value.cols());
-        let mut start = 0;
-        for (l, mask) in blocks {
-            assert_eq!(mask.len(), l * l, "mask must be len² per block");
-            for i in 0..l {
-                let mrow = &mask[i * l..(i + 1) * l];
-                let Some(j0) = mrow.iter().position(|&b| b) else {
-                    continue; // fully masked row: zero output, as in the bias path
-                };
-                let mut run = mrow[j0..].iter().take_while(|&&b| b).count();
-                let interval = !mrow[j0 + run..].iter().any(|&b| b);
-                if !interval {
-                    run = l - j0; // dense fallback: score the rest, mask additively
-                }
-                if ws.srow.len() < run {
-                    ws.srow.resize(run, 0.0);
-                }
-                let s = &mut ws.srow[..run];
-                ws.q.row_dots_nt(start + i, &ws.k, start + j0, run, s);
-                for v in s.iter_mut() {
-                    *v *= scale;
-                }
-                if !interval {
-                    for (v, &allowed) in s.iter_mut().zip(&mrow[j0..]) {
-                        if !allowed {
-                            *v += MASK_NEG;
-                        }
-                    }
-                }
-                // Softmax over the interval.
-                let max = s.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let mut sum = 0.0;
-                for v in s.iter_mut() {
-                    *v = (*v - max).exp();
-                    sum += *v;
-                }
-                if sum > 0.0 {
-                    for v in s.iter_mut() {
-                        *v /= sum;
-                    }
-                }
-                Tensor2::row_combine(s, &ws.v, start + j0, out.row_mut(start + i));
-            }
-            start += l;
-        }
-        assert_eq!(start, n, "blocks must cover all rows");
-    }
-
     /// Shared Q/K/V projection + per-block masked softmax. The projections
     /// are three large matmuls over the whole packed input; scores are
     /// computed block-by-block on each block's `lens[b] × lens[b]` corner,
@@ -571,14 +481,104 @@ impl MaskedSelfAttention {
         (dq, dk, dv)
     }
 
-    /// Mutable references to the projection parameters.
+    /// Mutable references to the projection parameters. Drops the folded
+    /// root form, which the next [`MaskedSelfAttention::root_attention`]
+    /// call rebuilds from the updated weights.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.root.take();
         vec![&mut self.wq, &mut self.wk, &mut self.wv]
     }
 
     /// Total scalar parameters.
     pub fn param_count(&self) -> usize {
         self.wq.count() + self.wk.count() + self.wv.count()
+    }
+}
+
+/// Root-only inference form of [`MaskedSelfAttention`]: the attention
+/// output of each plan's root row (node 0 in DFS order) and nothing else.
+///
+/// A latency prediction reads only the root row, so it needs no Q, K or V
+/// for the other nodes. The root's score against node `j` is
+/// `q₀·k_jᵀ/√d_k = x₀·M·x_jᵀ` with the folded `M = W_Q·W_Kᵀ/√d_k`
+/// (`d × d`), and its output is `Σ p_j·x_j·W_V = x̄·W_V`. Per plan that is
+/// one `d × d` vector product, `n` dot products and a weighted sum over the
+/// `d`-wide inputs, then one batched `b × d · d × d_v` matmul for the whole
+/// batch: `O(d² + n·d)` work per plan instead of
+/// `O(3·n·d·d_k + Σᵢ|subtreeᵢ|·d_k)`.
+///
+/// Each plan's score, softmax and weighted sum run on that plan's rows
+/// alone, and the matmul kernels are row-independent, so a plan's output
+/// does not depend on the other plans of its batch.
+#[derive(Debug, Clone)]
+pub struct RootAttention {
+    /// `W_Q·W_Kᵀ/√d_k`, `d × d`.
+    qk: Tensor2,
+    /// `W_V`, `d × d_v`.
+    wv: Tensor2,
+}
+
+impl RootAttention {
+    /// Fold an attention block's projections.
+    pub fn from_attention(attn: &MaskedSelfAttention) -> RootAttention {
+        let mut qk = attn.wq.value.matmul_nt(&attn.wk.value);
+        qk.scale(1.0 / (attn.d_k as f32).sqrt());
+        RootAttention {
+            qk,
+            wv: attn.wv.value.clone(),
+        }
+    }
+
+    /// Bytes held by the folded weights.
+    pub fn bytes(&self) -> usize {
+        (self.qk.len() + self.wv.len()) * std::mem::size_of::<f32>()
+    }
+
+    /// Root attention rows of a batch of plans into `out` (`b × d_v`, row
+    /// `b` for plan `b`). Each block is a plan's node rows `x` (`n × d`,
+    /// the root first) and the root's mask row (`n` entries: may the root
+    /// attend to node `j`). Masked nodes get probability exactly zero; a
+    /// root that may attend to nothing gets a zero row, never NaN.
+    pub fn forward_into<'a, I>(&self, blocks: I, ws: &mut RootScratch, out: &mut Tensor2)
+    where
+        I: ExactSizeIterator<Item = (&'a Tensor2, &'a [bool])>,
+    {
+        let d = self.qk.rows();
+        ws.xbar.resize_zeroed(blocks.len(), d);
+        ws.u.resize_zeroed(1, d);
+        for (b, (x, root_mask)) in blocks.enumerate() {
+            let n = x.rows();
+            assert_eq!(x.cols(), d, "node width mismatch");
+            assert_eq!(root_mask.len(), n, "root mask must cover every node");
+            if !root_mask.contains(&true) {
+                continue; // nothing to attend to: zero row
+            }
+            // u = x₀·M, then the root's scores s_j = u·x_j.
+            Tensor2::row_combine(x.row(0), &self.qk, 0, ws.u.row_mut(0));
+            if ws.scores.len() < n {
+                ws.scores.resize(n, 0.0);
+            }
+            let s = &mut ws.scores[..n];
+            ws.u.row_dots_nt(0, x, 0, n, s);
+            let mut max = f32::NEG_INFINITY;
+            for (v, &allowed) in s.iter_mut().zip(root_mask) {
+                if allowed {
+                    max = max.max(*v);
+                } else {
+                    *v = f32::NEG_INFINITY;
+                }
+            }
+            let mut sum = 0.0;
+            for v in s.iter_mut() {
+                *v = (*v - max).exp();
+                sum += *v;
+            }
+            for v in s.iter_mut() {
+                *v /= sum;
+            }
+            Tensor2::row_combine(s, x, 0, ws.xbar.row_mut(b));
+        }
+        ws.xbar.matmul_into(&self.wv, out);
     }
 }
 
@@ -730,6 +730,83 @@ mod tests {
         // A second pass through the same (warmed) workspace must agree too.
         b.forward_packed_ws(&x, &lens, stride, &bias, &mut ws, &mut out_ws);
         assert_eq!(out.as_slice(), out_ws.as_slice());
+    }
+
+    /// Root-only attention over `blocks` (node rows, full `n × n` mask).
+    fn root_rows(attn: &MaskedSelfAttention, blocks: &[(&Tensor2, &[bool])]) -> Tensor2 {
+        let mut ws = RootScratch::default();
+        let mut out = Tensor2::default();
+        attn.root_attention().forward_into(
+            blocks.iter().map(|&(x, m)| (x, &m[..x.rows()])),
+            &mut ws,
+            &mut out,
+        );
+        out
+    }
+
+    #[test]
+    fn root_attention_matches_row_zero_of_the_full_forward() {
+        let attn = MaskedSelfAttention::new(16, 32, 24, 11);
+        // Three plans in one batch: a chain, a single node, a full mask.
+        let (xa, xb, xc) = (
+            Tensor2::uniform(5, 16, 1.0, 12),
+            Tensor2::uniform(1, 16, 1.0, 13),
+            Tensor2::uniform(4, 16, 1.0, 14),
+        );
+        let (ma, mb, mc) = (chain_mask(5), full_mask(1), full_mask(4));
+        let got = root_rows(&attn, &[(&xa, &ma), (&xb, &mb), (&xc, &mc)]);
+        assert_eq!((got.rows(), got.cols()), (3, 24));
+        for (b, (x, m)) in [(&xa, &ma), (&xb, &mb), (&xc, &mc)].into_iter().enumerate() {
+            let want = attn.forward_inference(x, m);
+            for (g, w) in got.row(b).iter().zip(want.row(0)) {
+                assert!((g - w).abs() < 1e-5, "plan {b}: {g} vs {w}");
+            }
+        }
+    }
+
+    #[test]
+    fn non_interval_root_mask_matches_the_full_forward() {
+        let attn = MaskedSelfAttention::new(8, 16, 16, 15);
+        let x = Tensor2::uniform(4, 8, 1.0, 16);
+        // The root attends to {0, 2, 3}: not an interval.
+        let mut mask = full_mask(4);
+        mask[1] = false;
+        let got = root_rows(&attn, &[(&x, &mask)]);
+        let want = attn.forward_inference(&x, &mask);
+        for (g, w) in got.row(0).iter().zip(want.row(0)) {
+            assert!((g - w).abs() < 1e-5, "{g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn fully_masked_root_yields_finite_zero_output() {
+        let attn = MaskedSelfAttention::new(8, 16, 16, 13);
+        let x = Tensor2::uniform(3, 8, 1.0, 14);
+        let xb = Tensor2::uniform(2, 8, 1.0, 15);
+        // The first plan's root attends to nothing; the second is normal.
+        let mut mask = full_mask(3);
+        mask[..3].fill(false);
+        let got = root_rows(&attn, &[(&x, &mask), (&xb, &chain_mask(2))]);
+        assert!(got.as_slice().iter().all(|v| v.is_finite()));
+        assert!(got.row(0).iter().all(|&v| v == 0.0), "masked root not zero");
+        assert!(got.row(1).iter().any(|&v| v != 0.0));
+    }
+
+    #[test]
+    fn params_mut_refolds_the_root_form() {
+        let mut attn = MaskedSelfAttention::new(4, 8, 8, 3);
+        let x = Tensor2::uniform(3, 4, 1.0, 7);
+        let mask = chain_mask(3);
+        let before = root_rows(&attn, &[(&x, &mask)]);
+        for p in attn.params_mut() {
+            p.value.scale(0.5);
+        }
+        let after = root_rows(&attn, &[(&x, &mask)]);
+        let want = attn.forward_inference(&x, &mask);
+        assert_ne!(before.as_slice(), after.as_slice());
+        for (g, w) in after.row(0).iter().zip(want.row(0)) {
+            assert!((g - w).abs() < 1e-5, "stale fold: {g} vs {w}");
+        }
     }
 
     #[test]

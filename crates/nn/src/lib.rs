@@ -25,14 +25,14 @@ mod tensor;
 mod workspace;
 
 pub use adam::Adam;
-pub use attention::{MaskedSelfAttention, MASK_NEG};
+pub use attention::{MaskedSelfAttention, RootAttention, MASK_NEG};
 pub use linear::{Linear, LoraLinear, LoraMode};
 pub use param::Param;
-pub use quant::{QuantRows, QuantScratch, QuantizedAttention, QuantizedLinear, QuantizedMatrix};
+pub use quant::{QuantRows, QuantizedLinear, QuantizedMatrix};
 pub use relu::Relu;
 pub use scaler::RobustScaler;
 pub use tensor::{set_kernel_tier, set_reference_kernels, KernelTier, Tensor2};
-pub use workspace::{AttnScratch, Workspace};
+pub use workspace::{AttnScratch, RootScratch, Workspace};
 
 /// Seeded Xavier/Glorot-uniform initialization bound for a `fan_in × fan_out`
 /// weight matrix.

@@ -14,19 +14,14 @@
 //! three f32 matmuls — the fold is exact (done in f32 before quantizing)
 //! and is where most of the fast tier's speedup comes from.
 //!
-//! [`QuantizedAttention`] quantizes only the Q/K/V projections; scores,
-//! the interval-sparse masked softmax and the value combine stay in f32,
-//! replicating [`MaskedSelfAttention::forward_masks_into`] exactly —
-//! including the guard that a fully-masked (all `-inf` logits) row produces
-//! a **zero, finite** output row instead of `NaN`.
+//! Attention is not quantized: both serving tiers share the root-only f32
+//! [`RootAttention`](crate::RootAttention), so only the MLP layers live
+//! here.
 //!
 //! Built once per registry swap (never on the request path), so
 //! quantization cost is amortized across every request a model version
 //! serves.
-//!
-//! [`MaskedSelfAttention::forward_masks_into`]: crate::MaskedSelfAttention::forward_masks_into
 
-use crate::attention::MaskedSelfAttention;
 use crate::linear::LoraLinear;
 use crate::tensor::Tensor2;
 
@@ -75,9 +70,9 @@ const GROUP: usize = 2 * TILE;
 /// accumulators, leaving headroom for the weight and broadcast registers.
 const ROW_TILE: usize = 4;
 
-/// Dynamically quantized activation rows, decoupled from the matmul so one
-/// quantization pass can feed several weight matrices (the attention Q/K/V
-/// projections share it three ways).
+/// Dynamically quantized activation rows: the quantized forward's scratch,
+/// one per worker, reused across calls (no allocation once it reaches the
+/// high-water batch size).
 ///
 /// Rows are u8 at a +128 zero point, padded to whole quads with the zero
 /// point (padding multiplies all-zero weights). A zero or non-finite input
@@ -260,18 +255,11 @@ impl QuantizedMatrix {
     }
 
     /// `y = x · W` with dynamic per-row activation quantization. `x` is
-    /// `n × in_dim`; `out` is resized to `n × out_dim`. `scratch` holds the
+    /// `n × in_dim`; `out` is resized to `n × out_dim`. `rows` holds the
     /// quantized activation rows and is reused across calls.
-    pub fn matmul_into(&self, x: &Tensor2, out: &mut Tensor2, scratch: &mut QuantScratch) {
+    pub fn matmul_into(&self, x: &Tensor2, out: &mut Tensor2, rows: &mut QuantRows) {
         assert_eq!(x.cols(), self.in_dim, "input width mismatch");
-        scratch.rows.quantize(x);
-        self.matmul_quant_into(&scratch.rows, out);
-    }
-
-    /// `y = x · W` over already-quantized rows — the attention forward
-    /// quantizes once and feeds all three projections through here.
-    pub fn matmul_quant_into(&self, rows: &QuantRows, out: &mut Tensor2) {
-        assert_eq!(rows.quads, self.quads, "quantized row width mismatch");
+        rows.quantize(x);
         // Every element of `out` is written below (degenerate rows dequantize
         // to exact zeros via `sx = 0`), so no zero-fill is needed.
         out.resize_for_overwrite(rows.n, self.out_dim);
@@ -424,21 +412,6 @@ fn vnni_available() -> bool {
     })
 }
 
-/// Reusable scratch for the quantized forward path: the quantized
-/// activation row plus the attention projection buffers. One per worker;
-/// buffers grow to the high-water batch size and then stop allocating.
-#[derive(Debug, Default)]
-pub struct QuantScratch {
-    rows: QuantRows,
-    /// Quantized-projection outputs (f32 after dequantization).
-    pub q: Tensor2,
-    /// Key projections.
-    pub k: Tensor2,
-    /// Value projections.
-    pub v: Tensor2,
-    srow: Vec<f32>,
-}
-
 /// A LoRA linear layer quantized for inference: the LoRA delta is folded
 /// into the base weight in f32 (`W + B·A`, exact), then the folded matrix
 /// is int8-quantized per output channel. Bias stays f32.
@@ -464,8 +437,8 @@ impl QuantizedLinear {
     }
 
     /// `y = x·W_q + b` into `y` (resized to `n × out`).
-    pub fn forward_into(&self, x: &Tensor2, y: &mut Tensor2, scratch: &mut QuantScratch) {
-        self.w.matmul_into(x, y, scratch);
+    pub fn forward_into(&self, x: &Tensor2, y: &mut Tensor2, rows: &mut QuantRows) {
+        self.w.matmul_into(x, y, rows);
         for i in 0..y.rows() {
             for (v, b) in y.row_mut(i).iter_mut().zip(&self.bias) {
                 *v += b;
@@ -476,111 +449,6 @@ impl QuantizedLinear {
     /// Quantized weight bytes (bias excluded).
     pub fn bytes(&self) -> usize {
         self.w.bytes()
-    }
-}
-
-/// The quantized twin of [`MaskedSelfAttention`]: int8 Q/K/V projections,
-/// f32 interval-sparse masked softmax and value combine.
-#[derive(Debug, Clone)]
-pub struct QuantizedAttention {
-    wq: QuantizedMatrix,
-    wk: QuantizedMatrix,
-    wv: QuantizedMatrix,
-    d_k: usize,
-}
-
-impl QuantizedAttention {
-    /// Quantize an attention block's projections.
-    pub fn from_attention(attn: &MaskedSelfAttention) -> QuantizedAttention {
-        QuantizedAttention {
-            wq: QuantizedMatrix::from_f32(&attn.wq.value),
-            wk: QuantizedMatrix::from_f32(&attn.wk.value),
-            wv: QuantizedMatrix::from_f32(&attn.wv.value),
-            d_k: attn.dk(),
-        }
-    }
-
-    /// Output width (`d_v`).
-    pub fn out_dim(&self) -> usize {
-        self.wv.out_dim()
-    }
-
-    /// Quantized weight bytes across the three projections.
-    pub fn bytes(&self) -> usize {
-        self.wq.bytes() + self.wk.bytes() + self.wv.bytes()
-    }
-
-    /// Quantized twin of [`MaskedSelfAttention::forward_masks_into`]: same
-    /// block iteration, same interval-sparse scoring, same dense fallback
-    /// with additive `MASK_NEG`, same softmax guard — a fully-masked row
-    /// (softmax over all `-inf`) produces a zero output row, never `NaN`.
-    /// Only the three projections differ (int8 instead of f32).
-    pub fn forward_masks_into<'m, I>(
-        &self,
-        x: &Tensor2,
-        blocks: I,
-        ws: &mut QuantScratch,
-        out: &mut Tensor2,
-    ) where
-        I: IntoIterator<Item = (usize, &'m [bool])>,
-    {
-        use crate::attention::MASK_NEG;
-        let n = x.rows();
-        // Quantize the input rows once and feed all three projections from
-        // the same buffer — q/k/v are their destinations.
-        {
-            let QuantScratch { rows, q, k, v, .. } = ws;
-            rows.quantize(x);
-            self.wq.matmul_quant_into(rows, q);
-            self.wk.matmul_quant_into(rows, k);
-            self.wv.matmul_quant_into(rows, v);
-        }
-        let scale = 1.0 / (self.d_k as f32).sqrt();
-        out.resize_zeroed(n, self.wv.out_dim());
-        let mut start = 0;
-        for (l, mask) in blocks {
-            assert_eq!(mask.len(), l * l, "mask must be len² per block");
-            for i in 0..l {
-                let mrow = &mask[i * l..(i + 1) * l];
-                let Some(j0) = mrow.iter().position(|&b| b) else {
-                    continue; // fully masked row: zero output, as in f32
-                };
-                let mut run = mrow[j0..].iter().take_while(|&&b| b).count();
-                let interval = !mrow[j0 + run..].iter().any(|&b| b);
-                if !interval {
-                    run = l - j0; // dense fallback: mask additively
-                }
-                if ws.srow.len() < run {
-                    ws.srow.resize(run, 0.0);
-                }
-                let s = &mut ws.srow[..run];
-                ws.q.row_dots_nt(start + i, &ws.k, start + j0, run, s);
-                for v in s.iter_mut() {
-                    *v *= scale;
-                }
-                if !interval {
-                    for (v, &allowed) in s.iter_mut().zip(&mrow[j0..]) {
-                        if !allowed {
-                            *v += MASK_NEG;
-                        }
-                    }
-                }
-                let max = s.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let mut sum = 0.0;
-                for v in s.iter_mut() {
-                    *v = (*v - max).exp();
-                    sum += *v;
-                }
-                if sum > 0.0 {
-                    for v in s.iter_mut() {
-                        *v /= sum;
-                    }
-                }
-                Tensor2::row_combine(s, &ws.v, start + j0, out.row_mut(start + i));
-            }
-            start += l;
-        }
-        assert_eq!(start, n, "blocks must cover all rows");
     }
 }
 
@@ -615,7 +483,7 @@ mod tests {
         let w = random_tensor(32, 48, 2);
         let x = random_tensor(8, 32, 3);
         let q = QuantizedMatrix::from_f32(&w);
-        let mut scratch = QuantScratch::default();
+        let mut scratch = QuantRows::default();
         let mut got = Tensor2::default();
         q.matmul_into(&x, &mut got, &mut scratch);
         let want = x.matmul(&w);
@@ -632,7 +500,7 @@ mod tests {
         let q = QuantizedMatrix::from_f32(&w);
         let mut x = Tensor2::zeros(2, 8);
         x.row_mut(1)[0] = f32::INFINITY;
-        let mut scratch = QuantScratch::default();
+        let mut scratch = QuantRows::default();
         let mut got = Tensor2::default();
         q.matmul_into(&x, &mut got, &mut scratch);
         assert!(got.as_slice().iter().all(|v| v.is_finite()));
@@ -649,7 +517,7 @@ mod tests {
         let x = random_tensor(4, 32, 10);
         let want = layer.forward_inference(&x);
         let q = QuantizedLinear::from_lora(&layer);
-        let mut scratch = QuantScratch::default();
+        let mut scratch = QuantRows::default();
         let mut got = Tensor2::default();
         q.forward_into(&x, &mut got, &mut scratch);
         for (g, w_) in got.as_slice().iter().zip(want.as_slice()) {
@@ -657,66 +525,6 @@ mod tests {
             // folded channels reach ~16), not with |y| — so the bound is
             // absolute-or-relative, whichever is looser at this magnitude.
             assert!((g - w_).abs() < (0.02 * w_.abs()).max(0.5), "{g} vs {w_}");
-        }
-    }
-
-    #[test]
-    fn quantized_attention_tracks_f32_on_interval_masks() {
-        let attn = MaskedSelfAttention::new(16, 32, 24, 11);
-        let q = QuantizedAttention::from_attention(&attn);
-        let x = random_tensor(5, 16, 12);
-        // Ancestor-style interval mask for a 5-node chain-ish tree.
-        let l = 5;
-        let mut mask = vec![false; l * l];
-        for i in 0..l {
-            for j in i..l {
-                mask[i * l + j] = true;
-            }
-        }
-        let want = attn.forward_masks_inference(&x, &[l], &[&mask]);
-        let mut ws = QuantScratch::default();
-        let mut got = Tensor2::default();
-        q.forward_masks_into(&x, [(l, mask.as_slice())], &mut ws, &mut got);
-        assert_eq!(got.rows(), want.rows());
-        for (g, w_) in got.as_slice().iter().zip(want.as_slice()) {
-            assert!((g - w_).abs() < 0.2, "{g} vs {w_}");
-        }
-    }
-
-    #[test]
-    fn fully_masked_row_yields_finite_zero_output() {
-        let attn = MaskedSelfAttention::new(8, 16, 16, 13);
-        let q = QuantizedAttention::from_attention(&attn);
-        let x = random_tensor(3, 8, 14);
-        // Row 1 is fully masked (softmax over all -inf in the bias path).
-        let l = 3;
-        let mut mask = vec![true; l * l];
-        for j in 0..l {
-            mask[l + j] = false;
-        }
-        let mut ws = QuantScratch::default();
-        let mut got = Tensor2::default();
-        q.forward_masks_into(&x, [(l, mask.as_slice())], &mut ws, &mut got);
-        assert!(got.as_slice().iter().all(|v| v.is_finite()));
-        assert!(got.row(1).iter().all(|&v| v == 0.0), "masked row not zero");
-    }
-
-    #[test]
-    fn dense_fallback_mask_matches_f32_path() {
-        let attn = MaskedSelfAttention::new(8, 16, 16, 15);
-        let q = QuantizedAttention::from_attention(&attn);
-        let x = random_tensor(4, 8, 16);
-        // Non-interval mask: row 0 attends to {0, 2} — forces the dense
-        // fallback with additive MASK_NEG.
-        let l = 4;
-        let mut mask = vec![true; l * l];
-        mask[1] = false;
-        let want = attn.forward_masks_inference(&x, &[l], &[&mask]);
-        let mut ws = QuantScratch::default();
-        let mut got = Tensor2::default();
-        q.forward_masks_into(&x, [(l, mask.as_slice())], &mut ws, &mut got);
-        for (g, w_) in got.as_slice().iter().zip(want.as_slice()) {
-            assert!((g - w_).abs() < 0.2, "{g} vs {w_}");
         }
     }
 
@@ -736,7 +544,7 @@ mod tests {
             let mut x = random_tensor(n, in_dim, seed + 100);
             x.row_mut(0).fill(0.0); // degenerate row: exact zeros both paths
             let q = QuantizedMatrix::from_f32(&w);
-            let mut scratch = QuantScratch::default();
+            let mut scratch = QuantRows::default();
             let mut fast = Tensor2::default();
             q.matmul_into(&x, &mut fast, &mut scratch);
             let mut rows = QuantRows::default();

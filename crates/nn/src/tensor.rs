@@ -1124,8 +1124,7 @@ impl Tensor2 {
     /// Dot products of row `i` of `self` against rows `j0..j0+n` of
     /// `other` (same width), written to `dst[..n]`: one row of a
     /// `self @ otherᵀ` product restricted to a column interval. The
-    /// serving attention path uses this to score only the positions a
-    /// tree mask allows.
+    /// root-only inference attention scores each plan's nodes with it.
     pub fn row_dots_nt(&self, i: usize, other: &Tensor2, j0: usize, n: usize, dst: &mut [f32]) {
         assert_eq!(self.cols, other.cols, "row_dots_nt width mismatch");
         assert!(j0 + n <= other.rows, "row_dots_nt range out of bounds");
@@ -1170,8 +1169,8 @@ impl Tensor2 {
 
     /// `dst = weights @ other[j0..j0+weights.len())`: a convex combination
     /// of a row interval of `other`, written to `dst[..other.cols]`. The
-    /// serving attention path uses this for the probability-weighted value
-    /// sum over only the unmasked positions.
+    /// root-only inference attention uses it for the probability-weighted
+    /// sum of each plan's node rows.
     pub fn row_combine(weights: &[f32], other: &Tensor2, j0: usize, dst: &mut [f32]) {
         let m = weights.len();
         assert!(j0 + m <= other.rows, "row_combine range out of bounds");

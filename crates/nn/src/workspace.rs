@@ -49,8 +49,18 @@ pub struct AttnScratch {
     pub dv: Tensor2,
     /// Parameter-gradient product scratch (`xᵀ dQ` etc., backward).
     pub gtmp: Tensor2,
-    /// One score row for the interval-sparse serving path.
-    pub srow: Vec<f32>,
+}
+
+/// Scratch for [`RootAttention::forward_into`](crate::RootAttention::forward_into),
+/// the root-only inference attention.
+#[derive(Debug, Default)]
+pub struct RootScratch {
+    /// The current root's folded query `x₀·M` (`1 × d`).
+    pub(crate) u: Tensor2,
+    /// The current root's scores, then probabilities.
+    pub(crate) scores: Vec<f32>,
+    /// Probability-weighted input rows, one per plan (`b × d`).
+    pub(crate) xbar: Tensor2,
 }
 
 /// The full model scratch arena threaded through the batched compact
@@ -91,7 +101,9 @@ pub struct Workspace {
     pub dxb: Tensor2,
     /// Parameter-gradient product scratch (backward).
     pub gtmp: Tensor2,
-    /// Root-row gather for root-only serving inference.
+    /// Root-only attention scratch for batched inference.
+    pub root: RootScratch,
+    /// Root attention rows of batched inference (the MLP's input).
     pub heads: Tensor2,
 }
 

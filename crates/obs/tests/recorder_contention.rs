@@ -62,14 +62,21 @@ fn producers_racing_snapshots_lose_nothing_silently() {
                 }
             });
         }
-        // Two snapshot threads race each other and the producers.
+        // Two snapshot threads race each other and the producers. Each
+        // holds the `drained` lock across snapshot + append: `snapshot`
+        // orders events only within one batch, so appending after its
+        // drain lock is released would let a later batch land first.
         for _ in 0..2 {
             let (recorder, drained, done) = (&recorder, &drained, &done);
             s.spawn(move || loop {
-                let batch = recorder.snapshot();
-                if !batch.is_empty() {
-                    drained.lock().unwrap().extend(batch);
-                } else if done.load(Ordering::Acquire) {
+                let empty = {
+                    let mut drained = drained.lock().unwrap();
+                    let batch = recorder.snapshot();
+                    let empty = batch.is_empty();
+                    drained.extend(batch);
+                    empty
+                };
+                if empty && done.load(Ordering::Acquire) {
                     return;
                 }
                 std::thread::yield_now();

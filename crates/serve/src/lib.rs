@@ -8,7 +8,7 @@
 //! traffic:
 //!
 //! * [`DaceServer`] — a **micro-batching scheduler**: a bounded MPSC queue
-//!   drained by worker threads into packed block-diagonal batches under a
+//!   drained by worker threads into root-only forward batches under a
 //!   `max_batch`/`max_wait` policy, with admission control (load shedding,
 //!   per-request deadlines) so overload degrades tail latency gracefully.
 //! * [`ModelRegistry`] — the pretrained base model plus named per-database

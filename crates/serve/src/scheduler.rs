@@ -53,7 +53,7 @@
 //! each request resolves its model through the lock-free
 //! [`ModelRegistry`], features come from the fingerprint-keyed shard-local
 //! [`FeatureCache`] (misses featurized through the same
-//! [`featurize_trees_sharded`] path training uses), and one block-diagonal
+//! [`featurize_trees_sharded`] path training uses), and one root-only
 //! forward serves each (adapter, tier) group.
 //!
 //! **Failure model.** Workers are supervised (see [`crate::supervisor`]): a
@@ -1492,7 +1492,7 @@ struct GroupOutput {
 }
 
 /// The model path for one (adapter, tier) group: featurize through the
-/// shard-local cache, one packed block-diagonal forward through the routed
+/// shard-local cache, one root-only forward through the routed
 /// precision tier. May panic (that is the point — the caller catches it);
 /// must not consume the jobs.
 fn forward_group(
@@ -1554,7 +1554,7 @@ fn forward_group(
         panic!("{INJECTED_PANIC}: batch forward panic");
     }
 
-    // One packed block-diagonal forward for the whole group, through the
+    // One root-only forward for the whole group, through the
     // tier the requests were admitted to.
     let t_fwd = Instant::now();
     let refs: Vec<&PlanFeatures> = feats.iter().map(Arc::as_ref).collect();
